@@ -36,6 +36,11 @@ func (r *rng) uint32() uint32 { return uint32(r.next() >> 32) }
 // intn returns a value in [0, n).
 func (r *rng) intn(n int) int { return int(r.next() % uint64(n)) }
 
+// suiteRNG is the stream a suite draws from for a generation seed.
+func suiteRNG(name string, seed uint64) *rng {
+	return &rng{s: seed ^ uint64(len(name))<<56}
+}
+
 // Suite names one golden file and how to produce it.
 type Suite struct {
 	Name string // short id, e.g. "fpc"
@@ -52,6 +57,7 @@ var Suites = []Suite{
 	{Name: "masks", Path: "internal/approx/testdata/golden_masks.txt", gen: genMasks},
 	{Name: "frames", Path: "internal/serve/testdata/golden_frames.txt", gen: genFrames},
 	{Name: "metrics", Path: "internal/obs/testdata/golden_metrics.txt", gen: genMetrics},
+	{Name: "netstats", Path: "internal/noc/testdata/golden_netstats.txt", gen: genNetstats},
 }
 
 // Generate produces the contents of one golden file.
@@ -63,7 +69,7 @@ func Generate(name string, seed uint64) ([]byte, error) {
 		var buf bytes.Buffer
 		fmt.Fprintf(&buf, "# golden %s vectors, seed %#x\n", s.Name, seed)
 		fmt.Fprintf(&buf, "# regenerate: go run ./cmd/approxnoc-vectors (verify: -check)\n")
-		s.gen(&buf, &rng{s: seed ^ uint64(len(s.Name))<<56})
+		s.gen(&buf, suiteRNG(s.Name, seed))
 		return buf.Bytes(), nil
 	}
 	return nil, fmt.Errorf("vectors: unknown suite %q", name)
