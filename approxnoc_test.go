@@ -1,6 +1,7 @@
 package approxnoc
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -25,6 +26,17 @@ func TestNewSimulatorValidation(t *testing.T) {
 	opts = DefaultOptions(DIVaxx, 500)
 	if _, err := NewSimulator(opts); err == nil {
 		t.Fatal("bogus threshold accepted")
+	}
+	// 2x2 with 5 tiles per router at 8 VCs is 9 ports x 8 = 72 input VC
+	// slots per router, past the router's 64-slot limit.
+	opts = Options{Width: 2, Height: 2, Concentration: 5, Scheme: Baseline, Network: DefaultNetworkConfig()}
+	opts.Network.VCs = 8
+	if _, err := NewSimulator(opts); err == nil || !strings.Contains(err.Error(), "9 ports x 8 VCs") {
+		t.Fatalf("72-slot router: err = %v, want the slot limit naming 9 ports x 8 VCs", err)
+	}
+	opts.Concentration = 4
+	if _, err := NewSimulator(opts); err != nil {
+		t.Fatalf("64-slot router rejected: %v", err)
 	}
 }
 

@@ -43,15 +43,14 @@ func TestFlitAndCreditConservation(t *testing.T) {
 		if rt.bufferedFlits() != 0 {
 			t.Fatalf("router %d holds %d flits after drain", ri, rt.bufferedFlits())
 		}
-		for p := range rt.out {
-			for v, ovc := range rt.out[p] {
-				if !ovc.infinite && ovc.credits != n.cfg.BufDepth {
-					t.Fatalf("router %d port %d vc %d has %d credits, want %d",
-						ri, p, v, ovc.credits, n.cfg.BufDepth)
-				}
-				if ovc.owned {
-					t.Fatalf("router %d port %d vc %d still owned after drain", ri, p, v)
-				}
+		for s, ovc := range rt.out {
+			p, v := s/rt.nvc, s%rt.nvc
+			if !ovc.infinite && ovc.credits != n.cfg.BufDepth {
+				t.Fatalf("router %d port %d vc %d has %d credits, want %d",
+					ri, p, v, ovc.credits, n.cfg.BufDepth)
+			}
+			if ovc.owned {
+				t.Fatalf("router %d port %d vc %d still owned after drain", ri, p, v)
 			}
 		}
 	}

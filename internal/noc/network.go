@@ -90,6 +90,10 @@ func New(topo *topology.Topology, cfg Config, codecFactory func(node int) compre
 	if topo == nil {
 		return nil, fmt.Errorf("noc: nil topology")
 	}
+	if slots := topo.Ports() * cfg.VCs; slots > maxSlots {
+		return nil, fmt.Errorf("noc: %d ports x %d VCs is %d input VC slots per router, above the %d-slot limit",
+			topo.Ports(), cfg.VCs, slots, maxSlots)
+	}
 	n := &Network{
 		topo: topo,
 		cfg:  cfg,
@@ -203,12 +207,12 @@ func shrinkStaged[T any](s []T, peak int) []T {
 
 // Step advances the simulation one cycle.
 //
-// Routers and NIs are gated on their active-set counters: a stage is only
-// entered when it has work (buffered flits, VCs awaiting allocation,
-// queued packets, pending decodes). The gates skip provable no-ops, so
-// results are bit-identical to an exhaustive sweep, but near-idle cycles
-// — the common case in low-injection sweeps — cost O(active tiles)
-// instead of O(all tiles).
+// Routers and NIs are gated on their active-set state: a stage is only
+// entered when it has work (buffered flits, VCs awaiting allocation or
+// route computation, queued packets, pending decodes). The gates skip
+// provable no-ops, so results are bit-identical to an exhaustive sweep,
+// but near-idle cycles — the common case in low-injection sweeps — cost
+// O(active tiles) instead of O(all tiles).
 func (n *Network) Step() {
 	now := n.clock.Now()
 
@@ -224,7 +228,8 @@ func (n *Network) Step() {
 		n.creditPeak = len(n.creditStage)
 	}
 	for _, c := range n.creditStage {
-		n.routers[c.router].out[c.port][c.vc].credits++
+		r := n.routers[c.router]
+		r.out[int(c.port)*r.nvc+c.vc].credits++
 	}
 	n.creditStage = n.creditStage[:0]
 	if len(n.niCreditStage) > n.niCreditPeak {
@@ -244,7 +249,8 @@ func (n *Network) Step() {
 
 	// Router pipeline, processed back to front so a flit moves through one
 	// stage per cycle. A router with no buffered flits has nothing to
-	// switch or route, and routing > 0 requires a buffered head flit.
+	// switch, routing > 0 requires a buffered head flit, and rcReq names
+	// the idle VCs fronted by one.
 	for _, r := range n.routers {
 		if r.flits > 0 {
 			r.stageSA()
@@ -256,7 +262,7 @@ func (n *Network) Step() {
 		}
 	}
 	for _, r := range n.routers {
-		if r.flits > 0 {
+		if r.rcReq != 0 {
 			r.stageRC()
 		}
 	}

@@ -1,6 +1,8 @@
 package noc
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"approxnoc/internal/compress"
@@ -565,5 +567,43 @@ func TestLatencyPercentiles(t *testing.T) {
 	var empty NetStats
 	if empty.LatencyPercentile(50) != 0 {
 		t.Fatal("empty stats percentile nonzero")
+	}
+}
+
+// The request bitmaps give each router at most 64 input VC slots
+// (ports x VCs); New must refuse anything larger and name both factors.
+func TestSlotLimit(t *testing.T) {
+	cases := []struct {
+		w, h, c, vcs int
+		ok           bool
+	}{
+		{4, 4, 2, 8, true},   // 6 ports x 8 = 48, the router-sensitivity sweep's largest
+		{2, 2, 4, 8, true},   // 8 x 8 = 64, exactly the limit
+		{2, 2, 5, 8, false},  // 9 x 8 = 72
+		{4, 4, 1, 13, false}, // 5 x 13 = 65
+	}
+	for _, tc := range cases {
+		topo, err := topology.NewCMesh(tc.w, tc.h, tc.c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := DefaultConfig()
+		cfg.VCs = tc.vcs
+		_, err = New(topo, cfg, func(int) compress.Codec { return compress.NewBaseline() })
+		if tc.ok {
+			if err != nil {
+				t.Errorf("%dx%d c=%d VCs=%d rejected: %v", tc.w, tc.h, tc.c, tc.vcs, err)
+			}
+			continue
+		}
+		if err == nil {
+			t.Errorf("%dx%d c=%d VCs=%d (%d slots) accepted", tc.w, tc.h, tc.c, tc.vcs, topo.Ports()*tc.vcs)
+			continue
+		}
+		for _, want := range []string{fmt.Sprintf("%d ports", topo.Ports()), fmt.Sprintf("%d VCs", tc.vcs)} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("error %q does not name %q", err, want)
+			}
+		}
 	}
 }

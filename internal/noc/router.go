@@ -1,6 +1,8 @@
 package noc
 
 import (
+	"math/bits"
+
 	"approxnoc/internal/obs"
 	"approxnoc/internal/topology"
 )
@@ -25,9 +27,6 @@ type inputVC struct {
 	state   vcState
 	outPort topology.Direction
 	outVC   int
-	// vaEpoch marks the stageVA pass that granted this VC, replacing the
-	// per-cycle granted map with an allocation-free stamp check.
-	vaEpoch uint64
 }
 
 func (v *inputVC) front() *Flit {
@@ -60,113 +59,141 @@ type outputVC struct {
 
 func (o *outputVC) hasCredit() bool { return o.infinite || o.credits > 0 }
 
+// maxSlots is the most input VCs (ports x VCs) a router supports: one bit
+// each in the uint64 request bitmaps.
+const maxSlots = 64
+
 // router is a canonical three-stage VC router: route computation and VC
 // allocation in stage 1 (consecutive cycles for a given head flit), switch
 // allocation in stage 2, switch + link traversal in stage 3. Per hop a
 // flit therefore spends three cycles uncontended.
 //
-// The router maintains active-set counters (flits, routing) so
-// Network.Step can skip the pipeline stages of quiescent routers entirely
-// — the dominant cost in low-injection sweeps where most of the mesh is
-// idle every cycle. The counters are bookkeeping only: they gate work
-// that would have been a no-op, so arbitration order and simulation
-// results are bit-identical to the exhaustive sweep.
+// Input VCs are numbered by slot, port*VCs+vc, and the router keeps one
+// request bitmap per stage over those slots, updated at the state
+// transitions that change them:
+//
+//   - rcReq: idle VCs fronted by a head flit (route computation);
+//   - vaReq[op]: VCs in vcRouting toward output port op;
+//   - saReq[op]: vcActive VCs toward op with a buffered flit.
+//
+// Each stage walks only its requesting slots, lowest set bit at or after
+// the round-robin pointer and wrapping, which is exactly the order the
+// exhaustive (start+k)%slots sweep visits them, so grants and simulation
+// results are bit-identical to that sweep. The active-set counters
+// (flits, routing) let Network.Step skip quiescent routers entirely.
 type router struct {
 	id    int
 	net   *Network
 	ports int
-	in    [][]*inputVC  // [port][vc]
-	out   [][]*outputVC // [port][vc]
-	saRR  []int         // per output port: round-robin pointer over input (port*VCs+vc)
-	vaRR  [][]int       // per output port, per VC: round-robin pointer over inputs
-	// saInputBusy marks input ports that already sent a flit this cycle
-	// (one crossbar input per port per cycle).
-	saInputBusy []bool
+	nvc   int
+	slots int // ports * nvc, at most maxSlots
+
+	in   []inputVC  // by slot, port*nvc+vc
+	out  []outputVC // by output slot, port*nvc+vc
+	saRR []int      // per output port: round-robin pointer over input slots
+	vaRR []int      // per output slot: round-robin pointer over input slots
+
+	rcReq uint64
+	vaReq []uint64 // per output port
+	saReq []uint64 // per output port
 
 	// Active-set counters. A VC can only hold the vcRouting state while
 	// it has a buffered head flit, so routing > 0 implies flits > 0.
 	flits   int // flits resident in input buffers
 	routing int // input VCs in the vcRouting state
-
-	vaEpoch uint64 // stamp for the current stageVA pass
 }
 
 func newRouter(id int, net *Network) *router {
-	ports := net.topo.Ports()
+	ports, nvc := net.topo.Ports(), net.cfg.VCs
+	slots := ports * nvc
 	r := &router{
-		id:          id,
-		net:         net,
-		ports:       ports,
-		in:          make([][]*inputVC, ports),
-		out:         make([][]*outputVC, ports),
-		saRR:        make([]int, ports),
-		vaRR:        make([][]int, ports),
-		saInputBusy: make([]bool, ports),
+		id:    id,
+		net:   net,
+		ports: ports,
+		nvc:   nvc,
+		slots: slots,
+		in:    make([]inputVC, slots),
+		out:   make([]outputVC, slots),
+		saRR:  make([]int, ports),
+		vaRR:  make([]int, slots),
+		vaReq: make([]uint64, ports),
+		saReq: make([]uint64, ports),
 	}
-	for p := 0; p < ports; p++ {
-		r.in[p] = make([]*inputVC, net.cfg.VCs)
-		r.out[p] = make([]*outputVC, net.cfg.VCs)
-		r.vaRR[p] = make([]int, net.cfg.VCs)
-		isEjection := topology.Direction(p) >= topology.Local
-		for v := 0; v < net.cfg.VCs; v++ {
-			r.in[p][v] = &inputVC{buf: make([]*Flit, net.cfg.BufDepth)}
-			r.out[p][v] = &outputVC{credits: net.cfg.BufDepth, infinite: isEjection}
-		}
+	for s := range r.in {
+		r.in[s].buf = make([]*Flit, net.cfg.BufDepth)
+		isEjection := topology.Direction(s/nvc) >= topology.Local
+		r.out[s] = outputVC{credits: net.cfg.BufDepth, infinite: isEjection}
 	}
 	return r
 }
 
+// nextRR returns the round-robin winner among the set slots of m: the
+// lowest one at or after start, wrapping to the lowest overall. m must
+// be non-zero and start < maxSlots.
+func nextRR(m uint64, start int) int {
+	if hi := m >> start << start; hi != 0 {
+		return bits.TrailingZeros64(hi)
+	}
+	return bits.TrailingZeros64(m)
+}
+
 // acceptFlit places an arriving flit into an input buffer (buffer write).
 func (r *router) acceptFlit(port topology.Direction, vc int, f *Flit) {
-	ivc := r.in[port][vc]
+	slot := int(port)*r.nvc + vc
+	ivc := &r.in[slot]
 	if ivc.count >= r.net.cfg.BufDepth {
 		panic("noc: input buffer overflow — credit protocol violated")
 	}
 	ivc.push(f)
 	r.flits++
 	r.net.power.BufferWrites++
+	if ivc.count == 1 {
+		switch ivc.state {
+		case vcIdle:
+			if f.IsHead() {
+				r.rcReq |= 1 << slot
+			}
+		case vcActive:
+			r.saReq[ivc.outPort] |= 1 << slot
+		}
+	}
 }
 
 // stageSA performs switch allocation and traversal: one flit per output
 // port and per input port per cycle.
 func (r *router) stageSA() {
-	for p := range r.saInputBusy {
-		r.saInputBusy[p] = false
-	}
-	nvc := r.net.cfg.VCs
-	total := r.ports * nvc
+	var busy uint64 // slots of input ports that already sent a flit this cycle
 	for op := 0; op < r.ports; op++ {
-		if r.flits == 0 {
-			return // every buffered flit already granted this cycle
-		}
-		start := r.saRR[op]
-		for k := 0; k < total; k++ {
-			slot := (start + k) % total
-			ip, iv := slot/nvc, slot%nvc
-			if r.saInputBusy[ip] {
-				continue
-			}
-			ivc := r.in[ip][iv]
-			f := ivc.front()
-			if f == nil || ivc.state != vcActive || int(ivc.outPort) != op {
-				continue
-			}
-			ovc := r.out[op][ivc.outVC]
+		for m := r.saReq[op] &^ busy; m != 0; {
+			slot := nextRR(m, r.saRR[op])
+			bit := uint64(1) << slot
+			ivc := &r.in[slot]
+			ovc := &r.out[op*r.nvc+ivc.outVC]
 			if !ovc.hasCredit() {
+				m &^= bit
 				continue
 			}
 			// Grant: pop and traverse.
-			ivc.pop()
+			ip, iv := slot/r.nvc, slot%r.nvc
+			f := ivc.pop()
+			tail := f.IsTail()
 			r.flits--
-			r.saInputBusy[ip] = true
-			r.saRR[op] = (slot + 1) % total
+			busy |= (1<<r.nvc - 1) << (ip * r.nvc)
+			r.saRR[op] = (slot + 1) % r.slots
 			r.net.power.BufferReads++
 			r.net.power.XbarTraversals++
 			r.net.power.SwitchAllocs++
 			r.forward(topology.Direction(ip), iv, topology.Direction(op), ivc.outVC, f)
-			if f.IsTail() {
+			switch {
+			case tail:
 				ovc.owned = false
 				ivc.state = vcIdle
+				r.saReq[op] &^= bit
+				if next := ivc.front(); next != nil && next.IsHead() {
+					r.rcReq |= bit
+				}
+			case ivc.count == 0:
+				r.saReq[op] &^= bit
 			}
 			break // one flit per output port per cycle
 		}
@@ -194,47 +221,35 @@ func (r *router) forward(ip topology.Direction, iv int, op topology.Direction, o
 	if !ok {
 		panic("noc: route led off the mesh")
 	}
-	r.out[op][ov].credits--
+	r.out[int(op)*r.nvc+ov].credits--
 	net.power.LinkTraversals++
 	net.stageFlit(next, op.Opposite(), ov, f)
 }
 
 // stageVA allocates free output VCs to input VCs in the routing state,
-// separable with per-(port,vc) round-robin priority. Grant bookkeeping
-// uses an epoch stamp on the input VC instead of a per-cycle map, and the
-// pass ends as soon as every routing VC has been granted.
+// separable with per-(port,vc) round-robin priority over vaReq. A grant
+// moves the VC from vaReq to saReq, so later output VCs never see it.
 func (r *router) stageVA() {
-	nvc := r.net.cfg.VCs
-	r.vaEpoch++
-	granted := 0
-	want := r.routing
-	for op := 0; op < r.ports && granted < want; op++ {
-		for ov := 0; ov < nvc && granted < want; ov++ {
-			ovc := r.out[op][ov]
+	for op := 0; op < r.ports && r.routing > 0; op++ {
+		for ov := 0; ov < r.nvc && r.vaReq[op] != 0; ov++ {
+			o := op*r.nvc + ov
+			ovc := &r.out[o]
 			if ovc.owned {
 				continue
 			}
-			start := r.vaRR[op][ov]
-			total := r.ports * nvc
-			for k := 0; k < total; k++ {
-				slot := (start + k) % total
-				ip, iv := slot/nvc, slot%nvc
-				ivc := r.in[ip][iv]
-				if ivc.state != vcRouting || int(ivc.outPort) != op || ivc.vaEpoch == r.vaEpoch {
-					continue
-				}
-				ivc.outVC = ov
-				ivc.state = vcActive
-				r.routing--
-				ovc.owned = true
-				ivc.vaEpoch = r.vaEpoch
-				granted++
-				r.vaRR[op][ov] = (slot + 1) % total
-				r.net.power.VCAllocs++
-				if r.net.tracer != nil {
-					r.net.trace(obs.EvVCAlloc, r.id, ivc.front().Packet.ID, uint64(op)<<8|uint64(ov))
-				}
-				break
+			slot := nextRR(r.vaReq[op], r.vaRR[o])
+			bit := uint64(1) << slot
+			ivc := &r.in[slot]
+			ivc.outVC = ov
+			ivc.state = vcActive
+			r.routing--
+			r.vaReq[op] &^= bit
+			r.saReq[op] |= bit // a routing VC always holds its head flit
+			ovc.owned = true
+			r.vaRR[o] = (slot + 1) % r.slots
+			r.net.power.VCAllocs++
+			if r.net.tracer != nil {
+				r.net.trace(obs.EvVCAlloc, r.id, ivc.front().Packet.ID, uint64(op)<<8|uint64(ov))
 			}
 		}
 	}
@@ -243,21 +258,15 @@ func (r *router) stageVA() {
 // stageRC computes the output port for head flits at the front of idle
 // input VCs.
 func (r *router) stageRC() {
-	for ip := 0; ip < r.ports; ip++ {
-		for iv := 0; iv < r.net.cfg.VCs; iv++ {
-			ivc := r.in[ip][iv]
-			if ivc.state != vcIdle {
-				continue
-			}
-			f := ivc.front()
-			if f == nil || !f.IsHead() {
-				continue
-			}
-			ivc.outPort = r.net.topo.Route(r.id, f.Packet.Dst)
-			ivc.state = vcRouting
-			r.routing++
-		}
+	for m := r.rcReq; m != 0; m &= m - 1 {
+		slot := bits.TrailingZeros64(m)
+		ivc := &r.in[slot]
+		ivc.outPort = r.net.topo.Route(r.id, ivc.front().Packet.Dst)
+		ivc.state = vcRouting
+		r.routing++
+		r.vaReq[ivc.outPort] |= 1 << slot
 	}
+	r.rcReq = 0
 }
 
 // bufferedFlits counts flits resident in the router, for drain detection.
