@@ -169,11 +169,16 @@ func TestViewProbeTransitions(t *testing.T) {
 	defer v.Close()
 	v.Join("a", "addr-a", StateJoining)
 
+	// waitState reads the state under v.mu, which SetState holds across
+	// the state write and the ring rebuild, so a state seen here always
+	// comes with its ring.
 	waitState := func(want State) {
 		t.Helper()
 		deadline := time.Now().Add(5 * time.Second)
 		for {
+			v.mu.Lock()
 			st, _ := v.members.State("a")
+			v.mu.Unlock()
 			if st == want {
 				return
 			}

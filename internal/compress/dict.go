@@ -188,11 +188,12 @@ func (t *candidateTable) drop(p value.Word, dt value.DataType) {
 // destRef is one encoder-PMT per-destination slot: the encoded index the
 // destination decoder assigned, plus the original pattern recorded there
 // (Fig. 8's "idx / op" pairs; for exact DI-COMP orig always equals the
-// entry pattern).
+// entry pattern). The fields are sized so one destination's row of a
+// Table 1 PMT (8 entries) spans 96 bytes.
 type destRef struct {
-	valid bool
-	idx   int
 	orig  value.Word
+	idx   int32
+	valid bool
 }
 
 // decEntry is one decoder-PMT row (Fig. 7b): pattern, frequency counter
@@ -228,13 +229,18 @@ type dictCodec struct {
 	budget  quality.Budget
 
 	// Encoder side. DI-COMP uses the binary CAM; DI-VAXX the TCAM. Both
-	// keep per-slot side storage for the per-destination index vectors.
+	// keep per-slot side storage for the per-destination index vectors,
+	// destination-major so one request's lookups stay in one row.
 	cam     *tcam.CAM
 	tc      *tcam.TCAM
-	encDest [][]destRef // [slot][dest]
+	encDest []destRef // [dst*Entries+slot]
 
-	// Decoder side.
+	// Decoder side. live mirrors dec for the raw-word scan: per slot,
+	// candKey(pattern, dtype)|liveBit while the entry is valid and
+	// unlocked, else 0. Every write to valid, locked or pattern calls
+	// refreshLive.
 	dec     []decEntry
+	live    []uint64
 	cands   *candidateTable
 	pending []pendingInstall
 
@@ -308,13 +314,11 @@ func newDict(s Scheme, node int, cfg DictConfig, a *approx.AVCL, b quality.Budge
 		idxBits: indexBits(cfg.Entries),
 		avcl:    a,
 		budget:  b,
-		encDest: make([][]destRef, cfg.Entries),
+		encDest: make([]destRef, cfg.Nodes*cfg.Entries),
 		dec:     make([]decEntry, cfg.Entries),
+		live:    make([]uint64, cfg.Entries),
 		cands:   newCandidateTable(cfg.CandidateCap),
 		idle:    make([]uint32, cfg.Entries),
-	}
-	for i := range d.encDest {
-		d.encDest[i] = make([]destRef, cfg.Nodes)
 	}
 	for i := range d.dec {
 		d.dec[i].validBits = make([]bool, cfg.Nodes)
@@ -328,6 +332,11 @@ func newDict(s Scheme, node int, cfg DictConfig, a *approx.AVCL, b quality.Budge
 }
 
 func (d *dictCodec) Scheme() Scheme { return d.scheme }
+
+// destRefs returns the encoder's per-slot mappings toward dst.
+func (d *dictCodec) destRefs(dst int) []destRef {
+	return d.encDest[dst*d.cfg.Entries : (dst+1)*d.cfg.Entries]
+}
 
 // --- Encoder ---------------------------------------------------------------
 
@@ -407,13 +416,13 @@ func (d *dictCodec) encodeWord(dst int, word value.Word, blk *value.Block) dictW
 		if !ok {
 			return raw
 		}
-		ref := d.encDest[slot][dst]
+		ref := d.encDest[dst*d.cfg.Entries+slot]
 		if !ref.valid || ref.orig != word {
 			return raw
 		}
 		return dictWordEnc{
 			WordEnc: WordEnc{Kind: ExactWord, Bits: 1 + d.idxBits, Orig: word, Decoded: word},
-			encIdx:  ref.idx,
+			encIdx:  int(ref.idx),
 		}
 	}
 
@@ -422,7 +431,7 @@ func (d *dictCodec) encodeWord(dst int, word value.Word, blk *value.Block) dictW
 	if !ok {
 		return raw
 	}
-	ref := d.encDest[slot][dst]
+	ref := d.encDest[dst*d.cfg.Entries+slot]
 	if !ref.valid {
 		return raw
 	}
@@ -433,7 +442,7 @@ func (d *dictCodec) encodeWord(dst int, word value.Word, blk *value.Block) dictW
 	if ref.orig == word {
 		return dictWordEnc{
 			WordEnc: WordEnc{Kind: ExactWord, Bits: 1 + d.idxBits, Orig: word, Decoded: word},
-			encIdx:  ref.idx,
+			encIdx:  int(ref.idx),
 		}
 	}
 	if !approximable {
@@ -449,7 +458,7 @@ func (d *dictCodec) encodeWord(dst int, word value.Word, blk *value.Block) dictW
 	}
 	return dictWordEnc{
 		WordEnc: WordEnc{Kind: ApproxWord, Bits: 1 + d.idxBits, Orig: word, Decoded: ref.orig},
-		encIdx:  ref.idx,
+		encIdx:  int(ref.idx),
 	}
 }
 
@@ -577,9 +586,11 @@ func (d *dictCodec) reclaim(slot int, pressure bool) []Notification {
 	if len(awaiting) == 0 {
 		e.valid = false
 		e.freq = 0
+		d.refreshLive(slot)
 		return nil
 	}
 	e.locked = true
+	d.refreshLive(slot)
 	d.pending = append(d.pending, pendingInstall{slot: slot, awaiting: awaiting, gc: true})
 	return out
 }
@@ -588,9 +599,10 @@ func (d *dictCodec) reclaim(slot int, pressure bool) []Notification {
 // uncompressed word from src and returns any protocol messages to send.
 func (d *dictCodec) observeRawWord(src int, word value.Word, dt value.DataType) []Notification {
 	// Already tracked? Extend the mapping to this encoder if needed.
-	for slot := range d.dec {
-		e := &d.dec[slot]
-		if e.valid && !e.locked && e.pattern == word && e.dtype == dt {
+	k := candKey(word, dt) | liveBit
+	for slot, l := range d.live {
+		if l == k {
+			e := &d.dec[slot]
 			e.freq++
 			if !e.validBits[src] {
 				e.validBits[src] = true
@@ -658,12 +670,26 @@ func (d *dictCodec) promote(src int, word value.Word, dt value.DataType, count i
 		return d.install(victim, src, word, dt)
 	}
 	e.locked = true
+	d.refreshLive(victim)
 	d.gen++
 	d.pending = append(d.pending, pendingInstall{
 		slot: victim, pattern: word, dtype: dt, requester: src, awaiting: awaiting,
 	})
 	d.stats.NotificationsSent += uint64(len(out))
 	return out
+}
+
+// liveBit marks a live key; candKey never sets it, so an empty slot's 0
+// matches no key.
+const liveBit = 1 << 63
+
+// refreshLive recomputes decoder slot's live key from its entry.
+func (d *dictCodec) refreshLive(slot int) {
+	e := &d.dec[slot]
+	d.live[slot] = 0
+	if e.valid && !e.locked {
+		d.live[slot] = candKey(e.pattern, e.dtype) | liveBit
+	}
 }
 
 func (d *dictCodec) install(slot, src int, word value.Word, dt value.DataType) []Notification {
@@ -677,6 +703,7 @@ func (d *dictCodec) install(slot, src int, word value.Word, dt value.DataType) [
 		e.validBits[i] = false
 	}
 	e.validBits[src] = true
+	d.refreshLive(slot)
 	d.idle[slot] = 0
 	d.gen++
 	d.stats.TableWrites++
@@ -729,14 +756,14 @@ func (d *dictCodec) handleUpdate(n Notification) {
 		}
 		slot = s
 	}
-	d.encDest[slot][n.From] = destRef{valid: true, idx: n.Index, orig: n.Pattern}
+	d.encDest[n.From*d.cfg.Entries+slot] = destRef{valid: true, idx: int32(n.Index), orig: n.Pattern}
 	d.gen++
 	d.stats.TableWrites++
 }
 
 func (d *dictCodec) clearSlot(slot int) {
-	for i := range d.encDest[slot] {
-		d.encDest[slot][i] = destRef{}
+	for i := slot; i < len(d.encDest); i += d.cfg.Entries {
+		d.encDest[i] = destRef{}
 	}
 }
 
@@ -744,15 +771,16 @@ func (d *dictCodec) clearSlot(slot int) {
 // index n.Index. Tolerates the mapping being already gone (the encoder may
 // have evicted the entry locally).
 func (d *dictCodec) handleInvalidate(n Notification) {
-	for slot := range d.encDest {
-		ref := &d.encDest[slot][n.From]
-		if ref.valid && ref.idx == n.Index {
+	refs := d.destRefs(n.From)
+	for slot := range refs {
+		ref := &refs[slot]
+		if ref.valid && int(ref.idx) == n.Index {
 			*ref = destRef{}
 			d.gen++
 			// Invalidate the whole encoder entry if no destination uses it.
 			inUse := false
-			for i := range d.encDest[slot] {
-				if d.encDest[slot][i].valid {
+			for i := slot; i < len(d.encDest); i += d.cfg.Entries {
+				if d.encDest[i].valid {
 					inUse = true
 					break
 				}
@@ -784,6 +812,7 @@ func (d *dictCodec) handleAck(n Notification) []Notification {
 		d.pending = append(d.pending[:i], d.pending[i+1:]...)
 		d.dec[slot].valid = false
 		d.dec[slot].locked = false
+		d.refreshLive(slot)
 		if gc {
 			// GC reclaim: the slot is simply freed, nothing installs.
 			d.dec[slot].freq = 0
@@ -831,9 +860,9 @@ func (d *dictCodec) EncoderMappings(dst int) []DictMapping {
 		return nil
 	}
 	var out []DictMapping
-	for slot := range d.encDest {
-		if ref := d.encDest[slot][dst]; ref.valid {
-			out = append(out, DictMapping{Index: ref.idx, Pattern: ref.orig})
+	for _, ref := range d.destRefs(dst) {
+		if ref.valid {
+			out = append(out, DictMapping{Index: int(ref.idx), Pattern: ref.orig})
 		}
 	}
 	return out

@@ -167,21 +167,24 @@ func TestDictEvictionInvalidateHandshake(t *testing.T) {
 		return c
 	}
 	f := NewFabric(2, mk)
+	transfer := func(words []int32) *value.Block {
+		return transferChecked(t, f, 0, 1, value.BlockFromI32(words, false))
+	}
 	// Fill the 2-entry decoder PMT with patterns A and B.
 	for i := 0; i < 4; i++ {
-		f.Transfer(0, 1, value.BlockFromI32([]int32{100, 100, 200, 200}, false))
+		transfer([]int32{100, 100, 200, 200})
 	}
 	// Verify both compress now.
-	f.Transfer(0, 1, value.BlockFromI32([]int32{100, 200}, false))
+	transfer([]int32{100, 200})
 	if f.Codec(0).Stats().WordsExact == 0 {
 		t.Fatal("patterns never learned")
 	}
 	// Flood with new hot patterns to force evictions + handshakes.
 	for i := 0; i < 6; i++ {
-		f.Transfer(0, 1, value.BlockFromI32([]int32{300, 300, 400, 400}, false))
+		transfer([]int32{300, 300, 400, 400})
 	}
 	// The new patterns must now compress, and data must stay correct.
-	out := f.Transfer(0, 1, value.BlockFromI32([]int32{300, 400, 100, 200}, false))
+	out := transfer([]int32{300, 400, 100, 200})
 	want := value.BlockFromI32([]int32{300, 400, 100, 200}, false)
 	if !out.Equal(want) {
 		t.Fatalf("post-eviction data wrong: %v", out.Words)

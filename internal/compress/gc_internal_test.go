@@ -18,20 +18,54 @@ func newGCDict(t *testing.T, cfg DictConfig) *dictCodec {
 	return c.(*dictCodec)
 }
 
+// editDec applies a hand edit to decoder row slot and refreshes the
+// row's live key, as every production mutator does.
+func editDec(d *dictCodec, slot int, edit func(e *decEntry)) {
+	edit(&d.dec[slot])
+	d.refreshLive(slot)
+}
+
 // seedEntry hand-installs a decoder row mapped by encoder enc.
 func seedEntry(d *dictCodec, slot int, pattern value.Word, enc int) {
-	e := &d.dec[slot]
-	e.valid = true
-	e.locked = false
-	e.pattern = pattern
-	e.dtype = value.Int32
-	e.freq = 0
-	for i := range e.validBits {
-		e.validBits[i] = false
+	editDec(d, slot, func(e *decEntry) {
+		e.valid = true
+		e.locked = false
+		e.pattern = pattern
+		e.dtype = value.Int32
+		e.freq = 0
+		for i := range e.validBits {
+			e.validBits[i] = false
+		}
+		if enc >= 0 {
+			e.validBits[enc] = true
+		}
+	})
+}
+
+// mustLive fails the test when a codec's live keys disagree with its
+// decoder entries.
+func mustLive(t *testing.T, codecs ...Codec) {
+	t.Helper()
+	for _, c := range codecs {
+		if err := CheckLiveKeys(c); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if enc >= 0 {
-		e.validBits[enc] = true
+}
+
+// transferChecked is Fabric.Transfer with the notifications settled one
+// at a time, in the same order, and every node's live keys checked
+// after the decode and after each notification.
+func transferChecked(t *testing.T, f *Fabric, src, dst int, blk *value.Block) *value.Block {
+	t.Helper()
+	out, notifs := f.codecs[dst].Decompress(src, CompressTransient(f.codecs[src], dst, blk))
+	mustLive(t, f.codecs...)
+	for len(notifs) > 0 {
+		n := notifs[0]
+		notifs = append(notifs[1:], f.codecs[n.To].HandleNotification(n)...)
+		mustLive(t, f.codecs...)
 	}
+	return out
 }
 
 // TestRunEpochSkipsLockedSlots pins that a slot locked behind an
@@ -41,12 +75,13 @@ func TestRunEpochSkipsLockedSlots(t *testing.T) {
 	cfg := DictConfig{Nodes: 4, Entries: 4, AgingPeriod: 64, GCAgeOutEpochs: 1, GCPressureSweep: 4, GCPressureMin: 1}
 	d := newGCDict(t, cfg)
 	seedEntry(d, 0, 0xAAAA, 1)
-	d.dec[0].locked = true // promotion eviction in flight
+	editDec(d, 0, func(e *decEntry) { e.locked = true }) // promotion eviction in flight
 	d.pending = append(d.pending, pendingInstall{slot: 0, pattern: 0xBBBB, requester: 1, awaiting: map[int]bool{1: true}})
 	d.blockedPromotes = 10 // pressure sweep armed
 
 	for epoch := 0; epoch < 3; epoch++ {
 		d.runEpoch()
+		mustLive(t, d)
 	}
 	if !d.dec[0].valid || !d.dec[0].locked {
 		t.Fatal("GC touched a locked slot")
@@ -59,6 +94,7 @@ func TestRunEpochSkipsLockedSlots(t *testing.T) {
 	}
 	// The in-flight eviction still completes normally afterwards.
 	d.handleAck(Notification{From: 1, Kind: NotifInvalidateAck, Index: 0})
+	mustLive(t, d)
 	if !d.dec[0].valid || d.dec[0].pattern != 0xBBBB {
 		t.Fatal("pending install did not survive the GC epochs")
 	}
@@ -74,6 +110,7 @@ func TestGCAckFreesWithoutInstall(t *testing.T) {
 	d.dec[0].validBits[2] = true // two encoders map it
 
 	notifs := d.runEpoch()
+	mustLive(t, d)
 	if len(notifs) != 2 {
 		t.Fatalf("reclaim fanned out %d invalidates, want 2", len(notifs))
 	}
@@ -82,10 +119,12 @@ func TestGCAckFreesWithoutInstall(t *testing.T) {
 	}
 	gen := d.gen
 	d.handleAck(Notification{From: 1, Kind: NotifInvalidateAck, Index: 0})
+	mustLive(t, d)
 	if !d.dec[0].locked {
 		t.Fatal("slot unlocked before every encoder acked")
 	}
 	d.handleAck(Notification{From: 2, Kind: NotifInvalidateAck, Index: 0})
+	mustLive(t, d)
 	if d.dec[0].valid || d.dec[0].locked || d.dec[0].freq != 0 {
 		t.Fatalf("gc ack completion left slot %+v", d.dec[0])
 	}
@@ -103,7 +142,9 @@ func TestGCUnmappedEntryFreesImmediately(t *testing.T) {
 	cfg := DictConfig{Nodes: 4, Entries: 2, AgingPeriod: 64, GCAgeOutEpochs: 1}
 	d := newGCDict(t, cfg)
 	seedEntry(d, 1, 0xDDDD, -1) // no valid bits
-	if notifs := d.runEpoch(); len(notifs) != 0 {
+	notifs := d.runEpoch()
+	mustLive(t, d)
+	if len(notifs) != 0 {
 		t.Fatalf("unmapped reclaim produced %d notifications", len(notifs))
 	}
 	if d.dec[1].valid {
@@ -130,6 +171,7 @@ func TestGCReclaimRacingEncoderEviction(t *testing.T) {
 	seedEntry(dec, 0, 0xEEEE, 1)
 	// The encoder never learned the mapping (or already evicted it).
 	notifs := dec.runEpoch()
+	mustLive(t, dec)
 	if len(notifs) != 1 {
 		t.Fatalf("want one invalidate, got %d", len(notifs))
 	}
@@ -138,6 +180,7 @@ func TestGCReclaimRacingEncoderEviction(t *testing.T) {
 		t.Fatalf("encoder did not ack a stale invalidate: %+v", acks)
 	}
 	dec.HandleNotification(acks[0])
+	mustLive(t, dec, enc)
 	if dec.dec[0].valid || dec.dec[0].locked {
 		t.Fatal("decoder slot not freed after stale-mapping ack")
 	}
@@ -152,6 +195,7 @@ func TestGCBlockedReclaimCounts(t *testing.T) {
 	seedEntry(d, 0, 0xF000, 1)
 	seedEntry(d, 1, 0xF001, 1)
 	notifs := d.runEpoch()
+	mustLive(t, d)
 	if len(notifs) != 1 {
 		t.Fatalf("want one reclaim handshake under cap 1, got %d notifications", len(notifs))
 	}

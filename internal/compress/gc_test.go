@@ -53,11 +53,29 @@ func coldBlock(rng *sim.Rand) *value.Block {
 	return blk
 }
 
-func transfer(t *testing.T, fab *compress.Fabric, src, dst int, blk *value.Block) {
+// checkLive asserts every node's decoder live keys match its entries.
+func checkLive(t testing.TB, fab *compress.Fabric) {
+	t.Helper()
+	for node := 0; node < fab.Nodes(); node++ {
+		if err := compress.CheckLiveKeys(fab.Codec(node)); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// transfer moves one block from src to dst and settles the resulting
+// notifications one at a time, in Fabric.Deliver's order, checking the
+// decoders' live keys after the decode and after every notification.
+func transfer(t testing.TB, fab *compress.Fabric, src, dst int, blk *value.Block) {
 	t.Helper()
 	enc := fab.Codec(src).Compress(dst, blk)
 	_, notifs := fab.Codec(dst).Decompress(src, enc)
-	fab.Deliver(notifs)
+	checkLive(t, fab)
+	for len(notifs) > 0 {
+		n := notifs[0]
+		notifs = append(notifs[1:], fab.Codec(n.To).HandleNotification(n)...)
+		checkLive(t, fab)
+	}
 }
 
 func gcFabric(t *testing.T, scheme compress.Scheme, cfg compress.DictConfig, thr int) *compress.Fabric {

@@ -209,10 +209,10 @@ func (d *dictCodec) Marshal() ([]byte, error) {
 		w.u64(cs.Writes)
 	}
 
-	// Per-destination side storage.
-	for slot := range d.encDest {
-		for dst := range d.encDest[slot] {
-			ref := d.encDest[slot][dst]
+	// Per-destination side storage, slot-major on the wire.
+	for slot := 0; slot < d.cfg.Entries; slot++ {
+		for dst := 0; dst < d.cfg.Nodes; dst++ {
+			ref := d.encDest[dst*d.cfg.Entries+slot]
 			if ref.valid {
 				w.u8(1)
 				w.u32(uint32(ref.idx))
@@ -347,7 +347,7 @@ type snapState struct {
 	tcamSlots []tcamSlot
 	encStats  tcam.Stats
 
-	encDest [][]destRef
+	encDest []destRef
 	dec     []decEntry
 	idle    []uint32
 
@@ -467,10 +467,9 @@ func (d *dictCodec) Unmarshal(data []byte) error {
 	st.encStats = tcam.Stats{Searches: r.u64(), Hits: r.u64(), Writes: r.u64()}
 
 	// Per-destination side storage.
-	st.encDest = make([][]destRef, entries)
-	for slot := range st.encDest {
-		st.encDest[slot] = make([]destRef, nodes)
-		for dst := range st.encDest[slot] {
+	st.encDest = make([]destRef, nodes*entries)
+	for slot := 0; slot < entries; slot++ {
+		for dst := 0; dst < nodes; dst++ {
 			valid := r.u8()
 			idx, orig := r.u32(), r.u32()
 			if valid > 1 {
@@ -485,7 +484,7 @@ func (d *dictCodec) Unmarshal(data []byte) error {
 			if int(idx) >= entries {
 				return mismatchf("encDest[%d][%d] index %d out of range", slot, dst, idx)
 			}
-			st.encDest[slot][dst] = destRef{valid: true, idx: int(idx), orig: orig}
+			st.encDest[dst*entries+slot] = destRef{valid: true, idx: int32(idx), orig: orig}
 		}
 	}
 
@@ -698,6 +697,9 @@ func (d *dictCodec) Unmarshal(data []byte) error {
 	}
 	d.encDest = st.encDest
 	d.dec = st.dec
+	for slot := range d.dec {
+		d.refreshLive(slot)
+	}
 	d.idle = st.idle
 	d.cands.keys = d.cands.keys[:0]
 	for i := range st.candPats {

@@ -69,16 +69,15 @@ func snapTraffic(rng *sim.Rand) *value.Block {
 
 // drive pushes n blocks through a two-node fabric, alternating flow
 // direction, settling notifications after every transfer.
-func drive(fab *compress.Fabric, rng *sim.Rand, n int) {
+func drive(t testing.TB, fab *compress.Fabric, rng *sim.Rand, n int) {
+	t.Helper()
 	for i := 0; i < n; i++ {
 		blk := snapTraffic(rng)
 		src, dst := 0, 1
 		if i%3 == 0 {
 			src, dst = 1, 0
 		}
-		enc := fab.Codec(src).Compress(dst, blk)
-		_, notifs := fab.Codec(dst).Decompress(src, enc)
-		fab.Deliver(notifs)
+		transfer(t, fab, src, dst, blk)
 	}
 }
 
@@ -103,7 +102,7 @@ func TestSnapshotRoundTripByteIdentical(t *testing.T) {
 		t.Run(sc.name, func(t *testing.T) {
 			for seed := uint64(1); seed <= 25; seed++ {
 				src := compress.NewFabric(2, sc.make)
-				drive(src, sim.NewRand(seed), 60)
+				drive(t, src, sim.NewRand(seed), 60)
 				for node := 0; node < 2; node++ {
 					img, _ := snapshotOf(t, src.Codec(node))
 					fresh := sc.make(node)
@@ -113,6 +112,9 @@ func TestSnapshotRoundTripByteIdentical(t *testing.T) {
 					}
 					if err := restored.Unmarshal(img); err != nil {
 						t.Fatalf("seed %d node %d: restore: %v", seed, node, err)
+					}
+					if err := compress.CheckLiveKeys(fresh); err != nil {
+						t.Fatalf("seed %d: after restore: %v", seed, err)
 					}
 					img2, err := restored.Marshal()
 					if err != nil {
@@ -136,7 +138,7 @@ func TestSnapshotBehavioralIdentity(t *testing.T) {
 		t.Run(sc.name, func(t *testing.T) {
 			for seed := uint64(1); seed <= 10; seed++ {
 				orig := compress.NewFabric(2, sc.make)
-				drive(orig, sim.NewRand(seed), 80)
+				drive(t, orig, sim.NewRand(seed), 80)
 
 				clone := compress.NewFabric(2, sc.make)
 				for node := 0; node < 2; node++ {
@@ -175,6 +177,7 @@ func TestSnapshotBehavioralIdentity(t *testing.T) {
 					}
 					orig.Deliver(nO)
 					clone.Deliver(nC)
+					checkLive(t, clone)
 				}
 				for node := 0; node < 2; node++ {
 					if a, b := orig.Codec(node).Stats(), clone.Codec(node).Stats(); a != b {
@@ -197,9 +200,9 @@ func TestSnapshotStaleGenerationRejected(t *testing.T) {
 	for _, sc := range snapSchemes {
 		t.Run(sc.name, func(t *testing.T) {
 			fab := compress.NewFabric(2, sc.make)
-			drive(fab, sim.NewRand(7), 40)
+			drive(t, fab, sim.NewRand(7), 40)
 			early, s := snapshotOf(t, fab.Codec(0))
-			drive(fab, sim.NewRand(8), 40)
+			drive(t, fab, sim.NewRand(8), 40)
 			if s.Generation() == 0 {
 				t.Fatal("traffic never advanced the generation")
 			}
@@ -215,6 +218,7 @@ func TestSnapshotStaleGenerationRejected(t *testing.T) {
 			if err := s.Unmarshal(now); err != nil {
 				t.Fatalf("self snapshot must reapply: %v", err)
 			}
+			checkLive(t, fab)
 		})
 	}
 }
@@ -232,7 +236,7 @@ func TestSnapshotRejectsMismatch(t *testing.T) {
 		return c
 	}
 	fab := compress.NewFabric(2, mk)
-	drive(fab, sim.NewRand(3), 60)
+	drive(t, fab, sim.NewRand(3), 60)
 	img, s := snapshotOf(t, fab.Codec(0))
 	before, _ := s.Marshal()
 

@@ -3,6 +3,8 @@ package noc
 import (
 	"fmt"
 	"math/bits"
+
+	"approxnoc/internal/topology"
 )
 
 // CheckRequestMasks is the request-bitmap oracle: it rebuilds every
@@ -50,4 +52,16 @@ func CheckRequestMasks(n *Network) error {
 		}
 	}
 	return nil
+}
+
+// HeldPackets counts the packets from src that dst's NI holds because
+// they were ejected ahead of sequence.
+func HeldPackets(n *Network, src, dst int) int {
+	return len(n.nis[dst].held[src])
+}
+
+// RouterTables returns router r's precomputed neighbour and route
+// tables.
+func RouterTables(n *Network, r int) (nbr [4]int, route []topology.Direction) {
+	return n.routers[r].nbr, n.routers[r].route
 }

@@ -67,7 +67,6 @@ type Network struct {
 	// so it needs no locking and stays deterministic.
 	flitPool []*Flit
 
-	seq          map[uint64]uint64
 	nextPacketID uint64
 	inFlight     int
 
@@ -97,7 +96,6 @@ func New(topo *topology.Topology, cfg Config, codecFactory func(node int) compre
 	n := &Network{
 		topo: topo,
 		cfg:  cfg,
-		seq:  make(map[uint64]uint64),
 	}
 	n.routers = make([]*router, topo.Routers())
 	for i := range n.routers {
@@ -143,16 +141,16 @@ func (n *Network) notifyDelivery(p *Packet, blk *value.Block) {
 }
 
 func (n *Network) newPacket(src, dst int, kind PacketKind, now sim.Cycle) *Packet {
-	key := uint64(src)<<32 | uint64(uint32(dst))
+	seq := &n.nis[src].nextSeq[dst]
 	p := &Packet{
 		ID:        n.nextPacketID,
 		Src:       src,
 		Dst:       dst,
 		Kind:      kind,
-		Seq:       n.seq[key],
+		Seq:       *seq,
 		CreatedAt: now,
 	}
-	n.seq[key] = p.Seq + 1
+	*seq++
 	n.nextPacketID++
 	n.stats.PacketsSent++
 	n.inFlight++

@@ -1,9 +1,12 @@
 package noc
 
 import (
+	"math/bits"
+
 	"approxnoc/internal/compress"
 	"approxnoc/internal/obs"
 	"approxnoc/internal/sim"
+	"approxnoc/internal/topology"
 	"approxnoc/internal/value"
 )
 
@@ -22,6 +25,11 @@ type NI struct {
 	tile  int
 	codec compress.Codec
 
+	// The router and local port this tile injects into, fixed by the
+	// topology and cached so the per-flit path does no division.
+	router int
+	port   topology.Direction
+
 	// Injection side. The queue is consumed through qhead instead of
 	// re-slicing so the backing array is reused; it is compacted when the
 	// dead prefix dominates.
@@ -33,26 +41,34 @@ type NI struct {
 	curVC   int
 	credits []int
 	nextVC  int
+	nextSeq []uint64 // per destination: sequence number of the next packet
 
-	// Ejection side.
-	expected map[int]uint64             // per source: next sequence number
-	reorder  map[int]map[uint64]*Packet // ejected ahead of sequence
-	deliverQ [][]delivery               // per source in-order decode FIFO
-	// pendingDeliveries counts entries across deliverQ so Step can skip
-	// the per-source scan on NIs with nothing to decode.
+	// Ejection side. Everything is indexed by source tile.
+	expected []uint64     // next sequence number to release
+	held     [][]*Packet  // ejected ahead of sequence, ascending Seq
+	deliverQ [][]delivery // in-order decode FIFO
+	ready    []uint64     // bitset of sources with a non-empty deliverQ
+	// heldPackets counts entries across held, and pendingDeliveries
+	// entries across deliverQ, so pendingWork and Step need no scan.
+	heldPackets       int
 	pendingDeliveries int
 }
 
 func newNI(net *Network, tile int, codec compress.Codec) *NI {
+	tiles := net.topo.Tiles()
 	ni := &NI{
 		net:      net,
 		tile:     tile,
 		codec:    codec,
+		router:   net.topo.RouterOf(tile),
+		port:     net.topo.LocalPortOf(tile),
 		curVC:    -1,
 		credits:  make([]int, net.cfg.VCs),
-		expected: make(map[int]uint64),
-		reorder:  make(map[int]map[uint64]*Packet),
-		deliverQ: make([][]delivery, net.topo.Tiles()),
+		nextSeq:  make([]uint64, tiles),
+		expected: make([]uint64, tiles),
+		held:     make([][]*Packet, tiles),
+		deliverQ: make([][]delivery, tiles),
+		ready:    make([]uint64, (tiles+63)/64),
 	}
 	for v := range ni.credits {
 		ni.credits[v] = net.cfg.BufDepth
@@ -211,9 +227,7 @@ func (ni *NI) inject(now sim.Cycle) {
 	if ni.cur.Kind == DataPacket {
 		ni.net.stats.DataFlitsInjected++
 	}
-	router := ni.net.topo.RouterOf(ni.tile)
-	port := ni.net.topo.LocalPortOf(ni.tile)
-	ni.net.stageFlit(router, port, ni.curVC, f)
+	ni.net.stageFlit(ni.router, ni.port, ni.curVC, f)
 	if ni.net.tracer != nil {
 		ni.net.trace(obs.EvFlitInject, ni.tile, ni.cur.ID, uint64(ni.curIdx))
 	}
@@ -227,7 +241,10 @@ func (ni *NI) inject(now sim.Cycle) {
 }
 
 // receiveFlit accepts an ejected flit from the router. Tail arrival
-// completes the packet and enters it into the ordered decode pipeline.
+// completes the packet and enters it into the ordered decode pipeline:
+// an in-sequence packet releases at once, together with every held
+// packet it brings into sequence; one ejected ahead of sequence waits
+// in its source's held list.
 func (ni *NI) receiveFlit(f *Flit) {
 	ni.net.stats.FlitsEjected++
 	if ni.net.tracer != nil {
@@ -240,24 +257,48 @@ func (ni *NI) receiveFlit(f *Flit) {
 	p := f.Packet
 	p.EjectedAt = now
 	src := p.Src
-	if _, ok := ni.reorder[src]; !ok {
-		ni.reorder[src] = make(map[uint64]*Packet)
+	if p.Seq != ni.expected[src] {
+		ni.hold(p)
+		return
 	}
-	ni.reorder[src][p.Seq] = p
-	// Release every in-sequence packet into the decode FIFO.
-	for {
-		next, ok := ni.reorder[src][ni.expected[src]]
-		if !ok {
-			break
-		}
-		delete(ni.reorder[src], ni.expected[src])
-		ni.expected[src]++
-		ni.deliverQ[src] = append(ni.deliverQ[src], delivery{
-			p:       next,
-			readyAt: now + ni.decodeLatency(next),
-		})
-		ni.pendingDeliveries++
+	ni.release(p, now)
+	h := ni.held[src]
+	n := 0
+	for n < len(h) && h[n].Seq == ni.expected[src] {
+		ni.release(h[n], now)
+		n++
 	}
+	if n > 0 {
+		ni.held[src] = h[:copy(h, h[n:])]
+		clear(h[len(h)-n:])
+		ni.heldPackets -= n
+	}
+}
+
+// hold inserts an out-of-sequence packet into its source's held list,
+// keeping the list sorted by sequence number.
+func (ni *NI) hold(p *Packet) {
+	h := append(ni.held[p.Src], p)
+	i := len(h) - 1
+	for ; i > 0 && h[i-1].Seq > p.Seq; i-- {
+		h[i] = h[i-1]
+	}
+	h[i] = p
+	ni.held[p.Src] = h
+	ni.heldPackets++
+}
+
+// release appends the next in-sequence packet from its source to the
+// decode FIFO.
+func (ni *NI) release(p *Packet, now sim.Cycle) {
+	src := p.Src
+	ni.expected[src]++
+	ni.deliverQ[src] = append(ni.deliverQ[src], delivery{
+		p:       p,
+		readyAt: now + ni.decodeLatency(p),
+	})
+	ni.ready[src>>6] |= 1 << (src & 63)
+	ni.pendingDeliveries++
 }
 
 func (ni *NI) decodeLatency(p *Packet) sim.Cycle {
@@ -271,21 +312,28 @@ func (ni *NI) decodeLatency(p *Packet) sim.Cycle {
 }
 
 // processDeliveries completes decodes whose latency elapsed, preserving
-// per-source order. Sources are visited in index order so the simulation
-// stays deterministic.
+// per-source order. Only sources with queued decodes are visited, in
+// ascending index order, so the simulation stays deterministic.
 func (ni *NI) processDeliveries(now sim.Cycle) {
-	for src := range ni.deliverQ {
-		q := ni.deliverQ[src]
-		n := 0
-		for n < len(q) && q[n].readyAt <= now {
-			ni.deliver(q[n].p, now)
-			n++
-		}
-		if n > 0 {
-			// Compact in place so the backing array is reused instead of
-			// advancing the slice start and reallocating on append.
+	for w, word := range ni.ready {
+		for ; word != 0; word &= word - 1 {
+			src := w<<6 | bits.TrailingZeros64(word)
+			q := ni.deliverQ[src]
+			n := 0
+			for n < len(q) && q[n].readyAt <= now {
+				ni.deliver(q[n].p, now)
+				n++
+			}
+			if n == 0 {
+				continue
+			}
+			// Compact in place so the backing array is reused instead
+			// of advancing the slice start and reallocating on append.
 			ni.deliverQ[src] = q[:copy(q, q[n:])]
 			ni.pendingDeliveries -= n
+			if n == len(q) {
+				ni.ready[w] &^= 1 << (src & 63)
+			}
 		}
 	}
 }
@@ -319,13 +367,5 @@ func (ni *NI) deliver(p *Packet, now sim.Cycle) {
 
 // pendingWork reports whether the NI still holds undelivered state.
 func (ni *NI) pendingWork() bool {
-	if len(ni.queue) > ni.qhead || ni.cur != nil || ni.pendingDeliveries > 0 {
-		return true
-	}
-	for _, m := range ni.reorder {
-		if len(m) > 0 {
-			return true
-		}
-	}
-	return false
+	return len(ni.queue) > ni.qhead || ni.cur != nil || ni.pendingDeliveries > 0 || ni.heldPackets > 0
 }

@@ -27,6 +27,10 @@ type inputVC struct {
 	state   vcState
 	outPort topology.Direction
 	outVC   int
+	// The input port and VC this slot buffers, so a grant needs no
+	// division to recover them from the slot number.
+	inPort topology.Direction
+	inVC   int
 }
 
 func (v *inputVC) front() *Flit {
@@ -37,14 +41,21 @@ func (v *inputVC) front() *Flit {
 }
 
 func (v *inputVC) push(f *Flit) {
-	v.buf[(v.head+v.count)%len(v.buf)] = f
+	i := v.head + v.count
+	if i >= len(v.buf) {
+		i -= len(v.buf)
+	}
+	v.buf[i] = f
 	v.count++
 }
 
 func (v *inputVC) pop() *Flit {
 	f := v.buf[v.head]
 	v.buf[v.head] = nil
-	v.head = (v.head + 1) % len(v.buf)
+	v.head++
+	if v.head == len(v.buf) {
+		v.head = 0
+	}
 	v.count--
 	return f
 }
@@ -81,17 +92,22 @@ const maxSlots = 64
 // exhaustive (start+k)%slots sweep visits them, so grants and simulation
 // results are bit-identical to that sweep. The active-set counters
 // (flits, routing) let Network.Step skip quiescent routers entirely.
+//
+// The topology's answers for this router are tabulated at construction
+// (nbr, route), so a hop computes no grid coordinates.
 type router struct {
 	id    int
 	net   *Network
 	ports int
 	nvc   int
-	slots int // ports * nvc, at most maxSlots
 
 	in   []inputVC  // by slot, port*nvc+vc
 	out  []outputVC // by output slot, port*nvc+vc
 	saRR []int      // per output port: round-robin pointer over input slots
 	vaRR []int      // per output slot: round-robin pointer over input slots
+
+	nbr   [4]int               // per mesh direction: neighbour router, -1 at the edge
+	route []topology.Direction // per destination tile: XY output port
 
 	rcReq uint64
 	vaReq []uint64 // per output port
@@ -111,25 +127,36 @@ func newRouter(id int, net *Network) *router {
 		net:   net,
 		ports: ports,
 		nvc:   nvc,
-		slots: slots,
 		in:    make([]inputVC, slots),
 		out:   make([]outputVC, slots),
 		saRR:  make([]int, ports),
 		vaRR:  make([]int, slots),
+		route: make([]topology.Direction, net.topo.Tiles()),
 		vaReq: make([]uint64, ports),
 		saReq: make([]uint64, ports),
 	}
 	for s := range r.in {
+		port := topology.Direction(s / nvc)
 		r.in[s].buf = make([]*Flit, net.cfg.BufDepth)
-		isEjection := topology.Direction(s/nvc) >= topology.Local
-		r.out[s] = outputVC{credits: net.cfg.BufDepth, infinite: isEjection}
+		r.in[s].inPort, r.in[s].inVC = port, s%nvc
+		r.out[s] = outputVC{credits: net.cfg.BufDepth, infinite: port >= topology.Local}
+	}
+	for d := range r.nbr {
+		r.nbr[d] = -1
+		if next, ok := net.topo.Neighbor(id, topology.Direction(d)); ok {
+			r.nbr[d] = next
+		}
+	}
+	for tile := range r.route {
+		r.route[tile] = net.topo.Route(id, tile)
 	}
 	return r
 }
 
 // nextRR returns the round-robin winner among the set slots of m: the
 // lowest one at or after start, wrapping to the lowest overall. m must
-// be non-zero and start < maxSlots.
+// be non-zero and start <= maxSlots; a start of maxSlots wraps because
+// shifting a uint64 by 64 yields 0.
 func nextRR(m uint64, start int) int {
 	if hi := m >> start << start; hi != 0 {
 		return bits.TrailingZeros64(hi)
@@ -174,16 +201,15 @@ func (r *router) stageSA() {
 				continue
 			}
 			// Grant: pop and traverse.
-			ip, iv := slot/r.nvc, slot%r.nvc
 			f := ivc.pop()
 			tail := f.IsTail()
 			r.flits--
-			busy |= (1<<r.nvc - 1) << (ip * r.nvc)
-			r.saRR[op] = (slot + 1) % r.slots
+			busy |= (1<<r.nvc - 1) << (int(ivc.inPort) * r.nvc)
+			r.saRR[op] = slot + 1 // nextRR wraps a pointer past the top slot
 			r.net.power.BufferReads++
 			r.net.power.XbarTraversals++
 			r.net.power.SwitchAllocs++
-			r.forward(topology.Direction(ip), iv, topology.Direction(op), ivc.outVC, f)
+			r.forward(ivc.inPort, ivc.inVC, topology.Direction(op), ivc.outVC, f)
 			switch {
 			case tail:
 				ovc.owned = false
@@ -208,7 +234,7 @@ func (r *router) forward(ip topology.Direction, iv int, op topology.Direction, o
 	// Credit for the freed input slot goes back where the flit came from.
 	if ip >= topology.Local {
 		net.stageNICredit(net.topo.TileAt(r.id, ip), iv)
-	} else if up, ok := net.topo.Neighbor(r.id, ip); ok {
+	} else if up := r.nbr[ip]; up >= 0 {
 		net.stageCredit(up, ip.Opposite(), iv)
 	}
 	if op >= topology.Local {
@@ -217,8 +243,8 @@ func (r *router) forward(ip topology.Direction, iv int, op topology.Direction, o
 		net.freeFlit(f)
 		return
 	}
-	next, ok := net.topo.Neighbor(r.id, op)
-	if !ok {
+	next := r.nbr[op]
+	if next < 0 {
 		panic("noc: route led off the mesh")
 	}
 	r.out[int(op)*r.nvc+ov].credits--
@@ -246,7 +272,7 @@ func (r *router) stageVA() {
 			r.vaReq[op] &^= bit
 			r.saReq[op] |= bit // a routing VC always holds its head flit
 			ovc.owned = true
-			r.vaRR[o] = (slot + 1) % r.slots
+			r.vaRR[o] = slot + 1
 			r.net.power.VCAllocs++
 			if r.net.tracer != nil {
 				r.net.trace(obs.EvVCAlloc, r.id, ivc.front().Packet.ID, uint64(op)<<8|uint64(ov))
@@ -261,7 +287,7 @@ func (r *router) stageRC() {
 	for m := r.rcReq; m != 0; m &= m - 1 {
 		slot := bits.TrailingZeros64(m)
 		ivc := &r.in[slot]
-		ivc.outPort = r.net.topo.Route(r.id, ivc.front().Packet.Dst)
+		ivc.outPort = r.route[ivc.front().Packet.Dst]
 		ivc.state = vcRouting
 		r.routing++
 		r.vaReq[ivc.outPort] |= 1 << slot

@@ -123,14 +123,20 @@ func TestReorderBufferReleasesInOrder(t *testing.T) {
 			seqs = append(seqs, p.Seq)
 		}
 	})
+	h := &heldTracker{t: t, n: n, src: 2, dst: 13}
 	for i := 0; i < 30; i++ {
 		n.SendData(2, 13, testBlock())
 		n.SendControl(2, 13)
 		// Competing flows to cause VC diversity on the shared path.
 		n.SendData(6, 13, testBlock())
-		n.Step()
+		h.step()
 	}
-	n.Drain(100000)
+	if !h.drain(100000) {
+		t.Fatal("drain failed")
+	}
+	if h.max == 0 {
+		t.Fatal("no packet was ejected out of sequence; the test exercised no reordering")
+	}
 	for i := 1; i < len(seqs); i++ {
 		if seqs[i] != seqs[i-1]+1 {
 			t.Fatalf("sequence gap: %v", seqs)
@@ -138,5 +144,35 @@ func TestReorderBufferReleasesInOrder(t *testing.T) {
 	}
 	if len(seqs) != 60 {
 		t.Fatalf("delivered %d of 60", len(seqs))
+	}
+}
+
+// The per-router neighbour and route tables must tabulate exactly what
+// the topology computes, for every direction and destination tile. The
+// non-square mesh catches x/y mix-ups.
+func TestRouterTablesMatchTopology(t *testing.T) {
+	for _, tc := range []struct{ w, h, c int }{{4, 4, 1}, {4, 4, 2}, {2, 2, 4}, {3, 5, 1}} {
+		n := baselineNet(t, tc.w, tc.h, tc.c)
+		topo := n.Topology()
+		for r := 0; r < topo.Routers(); r++ {
+			nbr, route := RouterTables(n, r)
+			for d := topology.East; d <= topology.South; d++ {
+				want := -1
+				if next, ok := topo.Neighbor(r, d); ok {
+					want = next
+				}
+				if nbr[d] != want {
+					t.Errorf("%v router %d: neighbour %v is %d, topology says %d", topo, r, d, nbr[d], want)
+				}
+			}
+			if len(route) != topo.Tiles() {
+				t.Fatalf("%v router %d: route table has %d entries for %d tiles", topo, r, len(route), topo.Tiles())
+			}
+			for tile := range route {
+				if want := topo.Route(r, tile); route[tile] != want {
+					t.Errorf("%v router %d: route to tile %d is %v, topology says %v", topo, r, tile, route[tile], want)
+				}
+			}
+		}
 	}
 }

@@ -39,6 +39,13 @@ fi
 echo '>> go build ./...'
 go build ./...
 
+# perfbench is a module of its own, so neither `go build ./...` nor
+# `go test ./...` compiles it; vet and test it here so a noc or compress
+# API change cannot break the repository benchmark unnoticed. -short
+# skips the test that runs every workload.
+echo '>> perfbench (go vet, go test -short)'
+(cd perfbench && go vet . && go test -short .)
+
 echo '>> go test -race -short ./...'
 go test -race -short ./...
 
